@@ -9,31 +9,27 @@
  * pairs of one pair-mix share one warm key, which is the whole point —
  * one warm-up amortizes across the pair matrix.
  *
- * On disk a checkpoint is one file per fingerprint under the same
- * two-hex-shard layout as the ResultStore:
+ * On disk a checkpoint is one framed file per fingerprint in a
+ * BlobStore (common/blob_store.hh, which owns the layout, version
+ * pinning, atomic publish, framing and quarantine):
  *
- *     <dir>/<fp[0:2]>/<fp>-ckpt-v<version>.bin
+ *     <dir>/<fp[0:2]>/<fp>-ckpt-v<version>.bin   pinned by ckpt_meta.json
  *
- * File format: a single JSON header line (magic, versions, fingerprint,
- * byte count, checksum, the full warm key) terminated by '\n', followed
- * by the raw state bytes. The header is line-oriented so `head -1` can
- * inspect any checkpoint; the payload is the exact CkptWriter stream.
- * Publication is atomic (temp file + rename) and every invalid file —
- * truncated, corrupt, checksum or version mismatch, foreign warm key —
- * is quarantined to "<name>.bad" and treated as a miss, mirroring the
- * ResultStore's crash/corruption discipline. A ckpt_meta.json at the
- * root pins the format and config schema versions; opening a directory
- * written by a different version is fatal.
+ * The one-line JSON header carries the magic, versions, fingerprint,
+ * warm-cycle count, payload seal and the full warm key, so `head -1`
+ * inspects any checkpoint; the payload is the exact CkptWriter stream.
+ * A file that fails any check — including a foreign embedded warm key —
+ * is quarantined and treated as a miss.
  */
 
 #ifndef P5SIM_CKPT_CKPT_HH
 #define P5SIM_CKPT_CKPT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/blob_store.hh"
 #include "common/types.hh"
 #include "config/config.hh"
 
@@ -76,10 +72,16 @@ class CkptStore
     CkptStore(const CkptStore &) = delete;
     CkptStore &operator=(const CkptStore &) = delete;
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return blobs_.dir(); }
+
+    /** How checkpoint files are named. */
+    static BlobLayout layout();
 
     /** Absolute path a fingerprint maps to under this area. */
-    std::string pathFor(const std::string &fp_hex) const;
+    std::string pathFor(const std::string &fp_hex) const
+    {
+        return blobs_.pathFor(fp_hex);
+    }
 
     /**
      * Validated read of the checkpoint for @p warm_key. A missing file
@@ -92,21 +94,14 @@ class CkptStore
     /** Publish @p ckpt atomically under its fingerprint. */
     void put(const Checkpoint &ckpt);
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t writes() const { return writes_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
+    std::uint64_t hits() const { return blobs_.hits(); }
+    std::uint64_t misses() const { return blobs_.misses(); }
+    std::uint64_t writes() const { return blobs_.writes(); }
+    std::uint64_t quarantined() const { return blobs_.quarantined(); }
 
   private:
-    void quarantine(const std::string &path);
-
-    std::string dir_;
     int schemaVersion_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> tempCounter_{0};
+    BlobStore blobs_;
 };
 
 } // namespace p5

@@ -8,7 +8,7 @@
  * Values are written field-wise (never by memcpy of a struct), which
  * keeps padding bytes out of the stream — the stream is a pure function
  * of simulated state, and therefore deterministic across runs. That
- * determinism is what lets the equivalence suite compare checksums and
+ * determinism is what lets equal warm keys publish identical files and
  * what the p5lint determinism rule audits serialization code for.
  *
  * The reader treats underrun or trailing bytes as fatal: every blob it
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "common/stats.hh"
 
 namespace p5 {
@@ -79,30 +78,6 @@ class CkptWriter
 
     const std::vector<std::uint8_t> &data() const { return bytes_; }
     std::size_t size() const { return bytes_.size(); }
-
-    /** Stable 64-bit digest of the stream (SplitMix64 chain). */
-    std::uint64_t
-    checksum() const
-    {
-        return ckptChecksum(bytes_.data(), bytes_.size());
-    }
-
-    /** Digest over an arbitrary byte range (same chain as checksum()). */
-    static std::uint64_t
-    ckptChecksum(const std::uint8_t *data, std::size_t size)
-    {
-        std::uint64_t h = hashMix(0x9c5dab1ec4f00d5eULL ^ size);
-        std::size_t i = 0;
-        for (; i + 8 <= size; i += 8) {
-            std::uint64_t word = 0;
-            std::memcpy(&word, data + i, 8);
-            h = hashCombine(h, word);
-        }
-        std::uint64_t tail = 0;
-        for (std::size_t k = 0; i < size; ++i, ++k)
-            tail |= static_cast<std::uint64_t>(data[i]) << (8 * k);
-        return hashCombine(h, tail);
-    }
 
   private:
     std::vector<std::uint8_t> bytes_;

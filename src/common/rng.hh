@@ -8,13 +8,19 @@
  *  - hashMix(): a stateless SplitMix64-style mixer used where a value must
  *    be a pure function of an index (e.g. the taken/not-taken direction of
  *    branch @c i in a synthetic program, which must be recomputable after a
- *    pipeline flush rewinds the instruction stream).
+ *    pipeline flush rewinds the instruction stream);
+ *  - hashText()/hex16(): the fingerprint chain every content identity
+ *    (config, job, checkpoint, trace, result-store address) is built
+ *    from, and its 16-hex-digit rendering.
  */
 
 #ifndef P5SIM_COMMON_RNG_HH
 #define P5SIM_COMMON_RNG_HH
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
 
 namespace p5 {
 
@@ -33,6 +39,30 @@ constexpr std::uint64_t
 hashCombine(std::uint64_t a, std::uint64_t b)
 {
     return hashMix(a ^ (hashMix(b) + 0x9e3779b97f4a7c15ULL + (a << 6)));
+}
+
+/**
+ * Fold every byte of @p text into a SplitMix64 chain seeded with
+ * @p chain and the text's length. Distinct @p chain constants give
+ * independent hash domains over the same text.
+ */
+constexpr std::uint64_t
+hashText(std::uint64_t chain, std::string_view text)
+{
+    std::uint64_t h = hashMix(chain ^ text.size());
+    for (char c : text)
+        h = hashCombine(h, static_cast<unsigned char>(c));
+    return h;
+}
+
+/** @p v as exactly 16 lower-case hex digits (fingerprint rendering). */
+inline std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 /**

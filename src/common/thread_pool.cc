@@ -22,13 +22,6 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-std::size_t
-ThreadPool::pending() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size() + inFlight_;
-}
-
 unsigned
 ThreadPool::defaultWorkers()
 {
@@ -48,13 +41,8 @@ ThreadPool::workerLoop()
                 return; // stop_ set and nothing left to drain
             task = std::move(queue_.front());
             queue_.pop();
-            ++inFlight_;
         }
         task(); // exceptions are captured by the packaged_task
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-        }
     }
 }
 

@@ -62,20 +62,16 @@ class ThreadPool
 
     unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
 
-    /** Tasks submitted but not yet finished. */
-    std::size_t pending() const;
-
     /** max(1, std::thread::hardware_concurrency()). */
     static unsigned defaultWorkers();
 
   private:
     void workerLoop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable cv_;
     std::queue<std::function<void()>> queue_;
     std::vector<std::thread> threads_;
-    std::size_t inFlight_ = 0;
     bool stop_ = false;
 };
 

@@ -19,6 +19,7 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/parse.hh"
+#include "common/rng.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "config/config.hh"
@@ -1246,50 +1247,31 @@ struct GcCandidate
 };
 
 /**
- * Decide whether basename @p name is reclaimable garbage. The rules
- * are filename-driven on purpose: a collector must not need to open
- * (or trust) the files it is about to delete, and must keep working on
- * an area whose meta pins an older schema (where ResultStore's own
- * constructor would refuse to open).
+ * Why basename @p name is reclaimable garbage, or nullptr to keep it.
+ * Each store's BlobLayout classifies its own file names; files from a
+ * generation other than the one this binary writes are dead weight —
+ * the stores ignore them on every path.
  */
 const char *
 gcReason(const std::string &name)
 {
-    if (name.size() >= 4 && name.compare(name.size() - 4, 4, ".bad") == 0)
-        return "quarantined";
-    if (name.find(".tmp.") != std::string::npos)
-        return "orphan temp"; // a crash between create and rename
-    // Superseded generations: the schema/format version is embedded in
-    // the filename ("<fp>-v<N>.json", "<fp>-ckpt-v<N>.bin"), so files
-    // from any generation other than the one this binary writes are
-    // dead weight — the stores ignore them on every path.
-    const auto versionedTail = [&name](const char *marker,
-                                       const char *suffix) -> long {
-        const std::size_t m = name.rfind(marker);
-        if (m == std::string::npos)
-            return -1;
-        const std::size_t digits = m + std::strlen(marker);
-        std::size_t end = digits;
-        while (end < name.size() && name[end] >= '0' && name[end] <= '9')
-            ++end;
-        if (end == digits || name.compare(end, std::string::npos, suffix))
-            return -1;
-        std::int64_t v = 0;
-        if (parseInt64(name.substr(digits, end - digits), v) !=
-            ParseStatus::Ok)
-            return -1;
-        return static_cast<long>(v);
-    };
-    const long ckpt_v = versionedTail("-ckpt-v", ".bin");
-    if (ckpt_v >= 0)
-        return ckpt_v == ckpt_format_version
-                   ? nullptr
-                   : "superseded checkpoint format";
-    const long result_v = versionedTail("-v", ".json");
-    if (result_v >= 0)
-        return result_v == config_schema_version
-                   ? nullptr
-                   : "superseded result schema";
+    const std::pair<BlobLayout, const char *> layouts[] = {
+        {ResultStore::layout(), "superseded result schema"},
+        {CkptStore::layout(), "superseded checkpoint format"}};
+    for (const auto &[layout, superseded] : layouts) {
+        switch (classifyBlobFile(name, layout)) {
+          case BlobFile::Quarantined:
+            return "quarantined";
+          case BlobFile::OrphanTemp:
+            return "orphan temp"; // a crash between create and rename
+          case BlobFile::Superseded:
+            return superseded;
+          case BlobFile::Live:
+            return nullptr;
+          case BlobFile::Other:
+            break;
+        }
+    }
     return nullptr;
 }
 
@@ -1495,10 +1477,7 @@ traceMain(int argc, const char *const *argv, std::ostream &out,
             << "  records                " << h.records << " ("
             << h.executions << " executions)\n"
             << "  payload bytes          " << h.bytes << "\n";
-        char sum[20];
-        std::snprintf(sum, sizeof(sum), "%016llx",
-                      static_cast<unsigned long long>(h.checksum));
-        out << "  checksum               " << sum << "\n"
+        out << "  checksum               " << hex16(h.checksum) << "\n"
             << "  fingerprint            " << h.fingerprint() << "\n";
         return 0;
     }
@@ -1737,18 +1716,6 @@ driverMain(int argc, const char *const *argv, std::ostream &out,
         err << "\n";
     }
     return rc;
-}
-
-int
-driverMainAs(const std::string &subcommand, int argc,
-             const char *const *argv)
-{
-    std::vector<const char *> args;
-    args.push_back(argc > 0 ? argv[0] : "p5sim");
-    args.push_back(subcommand.c_str());
-    for (int i = 1; i < argc; ++i)
-        args.push_back(argv[i]);
-    return driverMain(static_cast<int>(args.size()), args.data());
 }
 
 // --- perf report implementation ---------------------------------------

@@ -3,8 +3,7 @@
  * The unified p5sim driver: every paper table/figure, the ablation
  * studies, the simulator perf report, single-pair runs with full stat
  * dumps and multi-axis config sweeps behind one binary with
- * subcommands (tools/p5sim). The per-experiment bench binaries are
- * thin wrappers over driverMainAs() so existing scripts keep working.
+ * subcommands (tools/p5sim).
  *
  * All per-invocation state (output streams, the --csv preference, the
  * --json destination, config provenance) lives in an explicit
@@ -65,13 +64,6 @@ int driverMain(int argc, const char *const *argv,
                std::ostream &out = std::cout,
                std::ostream &err = std::cerr,
                std::istream &in = std::cin);
-
-/**
- * driverMain() with @p subcommand injected as argv[1] — the
- * compatibility entry used by the thin bench_* wrapper binaries.
- */
-int driverMainAs(const std::string &subcommand, int argc,
-                 const char *const *argv);
 
 /**
  * Run the end-to-end fast-forward speedup suite once per engine mode

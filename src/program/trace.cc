@@ -1,13 +1,9 @@
 #include "program/trace.hh"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "ckpt/ckpt_io.hh"
+#include "common/blob_store.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -20,15 +16,6 @@ namespace {
 /** Distinct chain constant: trace identities never collide with the
  *  checkpoint or config fingerprint domains. */
 constexpr std::uint64_t trace_fp_chain = 0x7eace0de5eedc0deULL;
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
 
 /** Unsigned LEB128 append. */
 void
@@ -137,18 +124,6 @@ decodeSrc(std::uint64_t wire, const std::vector<PredecodedInstr> &table,
     return true;
 }
 
-bool
-readFileText(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    out = ss.str();
-    return true;
-}
-
 std::uint64_t
 headerU64(const JsonValue &hdr, const char *field, bool &ok)
 {
@@ -162,7 +137,7 @@ headerU64(const JsonValue &hdr, const char *field, bool &ok)
 
 /** Parse + validate the header line (without touching the payload). */
 bool
-parseHeaderLine(const std::string &line, const std::string &path,
+parseHeaderLine(std::string_view line, const std::string &path,
                 TraceHeader &out, std::string *error)
 {
     JsonValue hdr;
@@ -190,25 +165,14 @@ parseHeaderLine(const std::string &line, const std::string &path,
     h.instrsPerExecution = headerU64(hdr, "instrsPerExecution", ok);
     h.records = headerU64(hdr, "records", ok);
     h.executions = headerU64(hdr, "executions", ok);
-    h.bytes = headerU64(hdr, "bytes", ok);
     if (!ok)
         return failLoad(error, "trace header has a bad count field");
-    const JsonValue *checksum = hdr.find("checksum");
-    if (!checksum || !checksum->isString() ||
-        checksum->asString().size() != 16)
-        return failLoad(error, "trace header has a bad checksum field");
-    std::uint64_t sum = 0;
-    for (char c : checksum->asString()) {
-        sum <<= 4;
-        if (c >= '0' && c <= '9')
-            sum |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            sum |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return failLoad(error,
-                            "trace header has a bad checksum field");
-    }
-    h.checksum = sum;
+    FrameSeal seal;
+    if (!seal.read(hdr))
+        return failLoad(error,
+                        "trace header has a bad bytes or checksum field");
+    h.bytes = seal.bytes;
+    h.checksum = seal.checksum;
 
     if (h.instrsPerExecution == 0 || h.executions == 0 ||
         h.records == 0)
@@ -225,9 +189,7 @@ parseHeaderLine(const std::string &line, const std::string &path,
 std::string
 TraceHeader::fingerprint() const
 {
-    std::uint64_t h = hashMix(trace_fp_chain ^ name.size());
-    for (char c : name)
-        h = hashCombine(h, static_cast<unsigned char>(c));
+    std::uint64_t h = hashText(trace_fp_chain, name);
     h = hashCombine(h, instrsPerExecution);
     h = hashCombine(h, records);
     h = hashCombine(h, executions);
@@ -310,47 +272,23 @@ dumpTrace(const InstrSource &source, std::uint64_t executions,
             producer_of[static_cast<std::size_t>(di.dst)] = i;
     }
 
-    TraceHeader h;
-    h.name = source.name();
-    h.instrsPerExecution = ipe;
-    h.records = n;
-    h.executions = executions;
-    h.bytes = payload.size();
-    h.checksum = CkptWriter::ckptChecksum(payload.data(), payload.size());
-
+    const std::string_view bytes(
+        reinterpret_cast<const char *>(payload.data()), payload.size());
     std::ostringstream header_line;
     {
         JsonWriter w(header_line, -1); // compact: one line
         w.beginObject();
         w.member("magic", trace_magic);
         w.member("version", trace_format_version);
-        w.member("name", h.name);
-        w.member("instrsPerExecution", h.instrsPerExecution);
-        w.member("records", h.records);
-        w.member("executions", h.executions);
-        w.member("bytes", h.bytes);
-        w.member("checksum", hex16(h.checksum));
+        w.member("name", source.name());
+        w.member("instrsPerExecution", ipe);
+        w.member("records", n);
+        w.member("executions", executions);
+        FrameSeal::of(bytes).write(w);
         w.endObject();
     }
-
-    // Atomic publication: write a temp file, then rename into place.
-    static std::atomic<std::uint64_t> temp_counter{0};
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(temp_counter.fetch_add(1));
-    {
-        std::ofstream os(temp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            fatal("cannot write trace temp file '%s'", temp.c_str());
-        os << header_line.str() << '\n';
-        os.write(reinterpret_cast<const char *>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
-        os.flush();
-        if (!os)
-            fatal("short write to trace temp file '%s'", temp.c_str());
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0)
-        fatal("cannot publish trace '%s'", path.c_str());
+    header_line << '\n';
+    publishFile(path, {header_line.str(), bytes});
 }
 
 bool
@@ -382,30 +320,24 @@ tryLoadTrace(const std::string &path,
              std::unique_ptr<TraceProgram> &out, std::string *error)
 {
     std::string blob;
-    if (!readFileText(path, blob))
+    if (!readWholeFile(path, blob))
         return failLoad(error, "cannot open trace '" + path + "'");
-    const std::size_t nl = blob.find('\n');
-    if (nl == std::string::npos)
+    Frame frame;
+    if (!splitFrame(blob, frame))
         return failLoad(error,
                         "trace '" + path + "' has no header line");
     TraceHeader h;
-    if (!parseHeaderLine(blob.substr(0, nl), path, h, error))
+    if (!parseHeaderLine(frame.header, path, h, error))
         return false;
-
-    const auto *payload =
-        reinterpret_cast<const std::uint8_t *>(blob.data()) + nl + 1;
-    const std::size_t payload_size = blob.size() - nl - 1;
-    if (payload_size != h.bytes)
-        return failLoad(error, "trace payload is " +
-                                   std::to_string(payload_size) +
-                                   " bytes, header says " +
-                                   std::to_string(h.bytes));
-    if (CkptWriter::ckptChecksum(payload, payload_size) != h.checksum)
-        return failLoad(error, "trace payload checksum mismatch");
+    const std::string bad_payload =
+        FrameSeal{h.bytes, h.checksum}.check(frame.payload);
+    if (!bad_payload.empty())
+        return failLoad(error, "trace " + bad_payload);
 
     std::vector<PredecodedInstr> table;
     table.reserve(static_cast<std::size_t>(h.records));
-    ByteReader r{payload, payload_size};
+    ByteReader r{reinterpret_cast<const std::uint8_t *>(frame.payload.data()),
+                 frame.payload.size()};
     Addr prev_pc = 0;
     Addr prev_addr = 0;
     for (std::uint64_t i = 0; i < h.records; ++i) {
@@ -481,7 +413,7 @@ std::string
 quarantineTrace(const std::string &path)
 {
     const std::string bad = path + ".bad";
-    if (std::rename(path.c_str(), bad.c_str()) != 0)
+    if (!quarantineFile(path))
         fatal("cannot quarantine corrupt trace '%s'", path.c_str());
     warn("quarantined corrupt trace to '%s'", bad.c_str());
     return bad;

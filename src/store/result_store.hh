@@ -6,52 +6,35 @@
  * The in-process ResultCache (fame/sim_runner.hh) coalesces identical
  * jobs within one process; the ResultStore extends that across
  * processes and machines. Every storable SimJob has a 64-bit
- * fingerprint — a SplitMix64 chain over its canonical key(), which
- * itself embeds the config-tree fingerprint (configTag), the program
- * specs, priorities and every parameter — and the store keeps one JSON
- * file per fingerprint:
+ * fingerprint — a hash chain over its canonical key(), which itself
+ * embeds the config-tree fingerprint (configTag), the program specs,
+ * priorities and every parameter — and the store keeps one JSON file
+ * per fingerprint in a BlobStore (common/blob_store.hh, which owns the
+ * layout, version pinning, atomic publish and quarantine):
  *
- *     <dir>/<fp[0:2]>/<fp>-v<schema>.json
+ *     <dir>/<fp[0:2]>/<fp>-v<schema>.json     pinned by store_meta.json
  *
- * Layout properties, each load-bearing:
+ * The config schema version is part of the file name, so a store
+ * written by an older schema can never satisfy a lookup from a newer
+ * binary — the on-disk analogue of the fingerprint cache-poisoning
+ * hole p5lint's config-completeness rule guards. Every file embeds the
+ * full canonical job key; loads verify it against the requesting job,
+ * so even a 64-bit fingerprint collision degrades to a re-simulation,
+ * never a wrong result.
  *
- *  - two-hex-digit shard directories keep any one directory small even
- *    for 10^5-point sweeps (≤ 256-way fanout);
- *  - the config schema version is part of the *filename*, so a store
- *    written by an older schema can never satisfy a lookup from a newer
- *    binary — the on-disk analogue of the fingerprint cache-poisoning
- *    hole p5lint's config-completeness rule guards. A store_meta.json
- *    at the root additionally pins the version, and opening a store
- *    written by a different schema is fatal with a clear message;
- *  - writes go to a temp file in the final directory and are published
- *    with rename(2), so concurrent writers (sharded sweeps over one
- *    shared directory) never expose a torn file; both writers of the
- *    same fingerprint write identical bytes, so last-rename-wins is
- *    harmless;
- *  - every file embeds the full canonical job key. Loads verify it
- *    against the requesting job, so even a 64-bit fingerprint collision
- *    degrades to a re-simulation, never a wrong result.
- *
- * Corrupt or truncated files (a writer killed mid-write before the
- * rename can't cause this, but disks and manual edits can) are
- * quarantined: renamed to "<name>.bad" and treated as a miss, so the
- * point transparently re-simulates and the evidence survives for
- * inspection.
- *
- * All methods are thread-safe; the store holds no mutable state beyond
- * atomic counters, so concurrent readers and writers — including from
- * multiple processes — need no coordination beyond the filesystem's.
+ * All methods are thread-safe, including across processes sharing one
+ * directory.
  */
 
 #ifndef P5SIM_STORE_RESULT_STORE_HH
 #define P5SIM_STORE_RESULT_STORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/blob_store.hh"
 #include "common/json.hh"
 #include "config/config.hh"
 #include "fame/sim_job.hh"
@@ -86,8 +69,11 @@ class ResultStore
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return blobs_.dir(); }
     int schemaVersion() const { return schemaVersion_; }
+
+    /** How result files are named under config schema @p schema. */
+    static BlobLayout layout(int schema = config_schema_version);
 
     // --- addressing -----------------------------------------------------
 
@@ -95,7 +81,10 @@ class ResultStore
     static std::string fingerprintHex(const SimJob &job);
 
     /** Absolute path a fingerprint maps to under this store. */
-    std::string pathFor(const std::string &fp_hex) const;
+    std::string pathFor(const std::string &fp_hex) const
+    {
+        return blobs_.pathFor(fp_hex);
+    }
 
     // --- access ---------------------------------------------------------
 
@@ -122,27 +111,21 @@ class ResultStore
     bool loadRaw(const std::string &fp_hex, JsonValue &out);
 
     /** Count of result files currently in the store (directory scan). */
-    std::size_t countEntries() const;
+    std::size_t countEntries() const { return blobs_.countEntries(); }
 
     // --- observability --------------------------------------------------
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t writes() const { return writes_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
+    std::uint64_t hits() const { return blobs_.hits(); }
+    std::uint64_t misses() const { return blobs_.misses(); }
+    std::uint64_t writes() const { return blobs_.writes(); }
+    std::uint64_t quarantined() const { return blobs_.quarantined(); }
 
   private:
-    /** Parse + validate one store file; quarantines on failure. */
-    bool loadFile(const std::string &path, JsonValue &out);
-    void quarantine(const std::string &path);
+    /** Parse @p text and check its store and schema versions. */
+    bool parseDoc(const std::string &text, JsonValue &out) const;
 
-    std::string dir_;
     int schemaVersion_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> writes_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> tempCounter_{0};
+    BlobStore blobs_;
 };
 
 } // namespace p5

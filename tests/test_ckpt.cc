@@ -346,6 +346,14 @@ TEST(CkptStoreTest, CorruptPayloadFailsTheChecksumAndIsQuarantined)
 
     CkptStore store(dir);
     Checkpoint out;
+    // While the rename to .bad cannot happen (a directory holds the
+    // name), the load is a miss but the counter stays put.
+    ASSERT_EQ(::mkdir((path + ".bad").c_str(), 0777), 0);
+    EXPECT_FALSE(store.load(job.warmKey(), out));
+    EXPECT_EQ(store.quarantined(), 0u);
+    EXPECT_TRUE(fileExists(path));
+    ASSERT_EQ(::rmdir((path + ".bad").c_str()), 0);
+
     EXPECT_FALSE(store.load(job.warmKey(), out));
     EXPECT_EQ(store.quarantined(), 1u);
     EXPECT_TRUE(fileExists(path + ".bad"));

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -264,9 +265,19 @@ TEST(ResultStore, NonJsonGarbageIsQuarantined)
         std::ofstream os(path, std::ios::trunc);
         os << "this is not json at all";
     }
+    // A directory squatting on the .bad name makes the rename fail: the
+    // load is still a miss, but nothing was quarantined, so the counter
+    // must not move and the file stays where it was.
+    ASSERT_EQ(::mkdir((path + ".bad").c_str(), 0777), 0);
     SimResult out;
     EXPECT_FALSE(store.load(job, out));
+    EXPECT_EQ(store.quarantined(), 0u);
+    EXPECT_TRUE(fileExists(path));
+    ASSERT_EQ(::rmdir((path + ".bad").c_str()), 0);
+
+    EXPECT_FALSE(store.load(job, out));
     EXPECT_EQ(store.quarantined(), 1u);
+    EXPECT_FALSE(fileExists(path));
     EXPECT_TRUE(fileExists(path + ".bad"));
 }
 
@@ -295,6 +306,26 @@ TEST(ResultStore, MisplacedFileFailsTheJobKeyCheck)
     SimResult out;
     EXPECT_FALSE(store.load(b, out));
     EXPECT_EQ(store.quarantined(), 1u);
+}
+
+TEST(ResultStore, OpensUnderANestedPathThatDoesNotExistYet)
+{
+    // Every missing component is created (mkdir -p), like the
+    // checkpoint area: `serve --store new/a/b` must not die.
+    const std::string root = storeDir("nested_root");
+    std::filesystem::remove_all(root);
+    const std::string dir = root + "/a/b/results";
+    ResultStore store(dir);
+    EXPECT_TRUE(fileExists(dir + "/store_meta.json"));
+
+    const SimJob job =
+        fastPair(UbenchId::CpuInt, UbenchId::CpuInt, 4, 4);
+    const SimResult executed = job.execute();
+    store.put(job, executed, StoreProvenance{});
+    SimResult loaded;
+    ASSERT_TRUE(store.load(job, loaded));
+    expectIdentical(loaded.fame, executed.fame);
+    std::filesystem::remove_all(root);
 }
 
 // --- versioning --------------------------------------------------------

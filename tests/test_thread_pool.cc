@@ -63,7 +63,6 @@ TEST(ThreadPool, SaturationRunsEveryTask)
     for (auto &f : futures)
         f.get();
     EXPECT_EQ(ran.load(), 500);
-    EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks)
