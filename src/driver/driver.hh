@@ -65,18 +65,45 @@ int driverMain(int argc, const char *const *argv,
                std::ostream &err = std::cerr,
                std::istream &in = std::cin);
 
-/**
- * Run the end-to-end fast-forward speedup suite once per engine mode
- * and write the machine-readable report consumed by
- * tools/compare_perf.py. Returns nonzero when any case's stats deviate
- * between modes. Exposed so bench_sim_perf's legacy
- * --p5sim_perf_json=FILE flag and `p5sim perf --json=FILE` share one
- * implementation.
- */
-int writePerfReport(const std::string &path, std::ostream &err);
+/** What one `p5sim perf` row simulates, counted over the whole row. */
+struct PerfOutcome
+{
+    std::uint64_t cycles = 0;     ///< simulated cycles
+    std::uint64_t instrs = 0;     ///< committed (FAME: accounted) instrs
+    std::uint64_t migrations = 0; ///< thread migrations (chip row)
+    std::uint64_t warms = 0;      ///< checkpoint warm-ups
+    std::uint64_t forks = 0;      ///< in-memory checkpoint forks
+};
 
-/** Per-stage wall-time breakdown of the report cases (perf triage). */
-int profileStages(std::ostream &out);
+/** What a `p5sim perf` row promises: its exact outcome and the
+ *  reference/feature wall-time ratio the feature must reach. */
+struct PerfGate
+{
+    const char *name = "";
+    double floor = 0;
+    PerfOutcome expect;
+};
+
+/** One measured row: each arm's best wall time over interleaved runs. */
+struct PerfMeasurement
+{
+    bool identical = true; ///< every run of both arms had the same stats
+    int reps = 0;          ///< interleaved repetitions of each arm
+    std::uint64_t referenceCycles = 0; ///< the reference arm's
+    PerfOutcome outcome;               ///< the feature arm's
+    double referenceMs = 0;
+    double featureMs = 0;
+
+    double speedup() const { return referenceMs / featureMs; }
+};
+
+/**
+ * The gate `p5sim perf` enforces on one row: identical stats and sim
+ * cycles across the arms, exactly the expected outcome, and a speedup
+ * at or above the floor. Returns one line per violation (empty = pass).
+ */
+std::vector<std::string> perfViolations(const PerfGate &gate,
+                                        const PerfMeasurement &m);
 
 } // namespace p5
 

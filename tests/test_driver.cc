@@ -4,7 +4,8 @@
  * unknown-key suggestions, provenance-stamped reports, equivalence of
  * the driver's data payload with the direct producer path (the
  * pre-driver bench binaries' output), sweep fan-out through the job
- * pool, and the `run` subcommand's StatGroup JSON dump.
+ * pool, the `run` subcommand's StatGroup JSON dump, and the gate
+ * `p5sim perf` applies to each measured row.
  */
 
 #include <cstdio>
@@ -1156,6 +1157,124 @@ TEST(Driver, CsvModeEmitsCsvTables)
     EXPECT_EQ(run.exitCode, 0);
     EXPECT_EQ(run.out.rfind("# ", 0), 0u)
         << "CSV mode starts with the '# <title>' comment line";
+}
+
+// --- perf gate ---------------------------------------------------------
+
+/** A checkpoint-style row: it expects warms and forks, so every
+ *  counter of the gate is exercised. */
+const PerfGate perf_gate = {"row", 2.0, {1000, 400, 0, 1, 35}};
+
+/** A measurement that passes perf_gate. */
+PerfMeasurement
+passingRow()
+{
+    PerfMeasurement m;
+    m.identical = true;
+    m.reps = 4;
+    m.referenceCycles = 1000;
+    m.outcome = {1000, 400, 0, 1, 35};
+    m.referenceMs = 30;
+    m.featureMs = 10;
+    return m;
+}
+
+/** The single violation @p m raises against perf_gate. */
+std::string
+onlyViolation(const PerfMeasurement &m)
+{
+    const std::vector<std::string> v = perfViolations(perf_gate, m);
+    EXPECT_EQ(v.size(), 1u);
+    return v.empty() ? "" : v.front();
+}
+
+bool
+mentions(const std::string &text, const char *what)
+{
+    return text.find(what) != std::string::npos;
+}
+
+TEST(PerfGate, PassingRowPasses)
+{
+    EXPECT_TRUE(perfViolations(perf_gate, passingRow()).empty());
+    PerfMeasurement at_floor = passingRow();
+    at_floor.referenceMs = 20; // exactly 2.0x
+    EXPECT_TRUE(perfViolations(perf_gate, at_floor).empty());
+}
+
+TEST(PerfGate, ArmsNotIdentical)
+{
+    PerfMeasurement m = passingRow();
+    m.identical = false;
+    const std::string v = onlyViolation(m);
+    EXPECT_EQ(v.rfind("row: ", 0), 0u) << v;
+    EXPECT_TRUE(mentions(v, "stats differ")) << v;
+}
+
+TEST(PerfGate, ArmsSimulateDifferentCycles)
+{
+    PerfMeasurement m = passingRow();
+    m.referenceCycles = 999;
+    EXPECT_TRUE(mentions(onlyViolation(m), "differ between the arms"));
+}
+
+TEST(PerfGate, OutcomeDiffersFromExpected)
+{
+    PerfMeasurement cycles = passingRow();
+    cycles.referenceCycles = cycles.outcome.cycles = 1001;
+    EXPECT_TRUE(mentions(onlyViolation(cycles),
+                         "sim cycles 1001 != expected 1000"));
+
+    PerfMeasurement instrs = passingRow();
+    instrs.outcome.instrs = 399;
+    EXPECT_TRUE(mentions(onlyViolation(instrs),
+                         "instructions 399 != expected 400"));
+}
+
+TEST(PerfGate, SpeedupBelowFloor)
+{
+    PerfMeasurement m = passingRow();
+    m.referenceMs = 19.9;
+    EXPECT_TRUE(mentions(onlyViolation(m), "below floor 2.00x"));
+
+    // A row that never ran (0 ms / 0 ms) cannot pass.
+    m.referenceMs = m.featureMs = 0;
+    EXPECT_TRUE(mentions(onlyViolation(m), "below floor"));
+}
+
+TEST(PerfGate, NonzeroMigrations)
+{
+    PerfMeasurement m = passingRow();
+    m.outcome.migrations = 2;
+    EXPECT_TRUE(mentions(onlyViolation(m), "migrations 2 != expected 0"));
+}
+
+TEST(PerfGate, CheckpointAccounting)
+{
+    PerfMeasurement warms = passingRow();
+    warms.outcome.warms = 2;
+    EXPECT_TRUE(mentions(onlyViolation(warms), "warms 2 != expected 1"));
+
+    PerfMeasurement forks = passingRow();
+    forks.outcome.forks = 34;
+    EXPECT_TRUE(mentions(onlyViolation(forks),
+                         "forks 34 != expected 35"));
+}
+
+TEST(PerfGate, EveryViolationIsListed)
+{
+    PerfMeasurement m = passingRow();
+    m.identical = false;
+    m.outcome = {7, 8, 9, 0, 0};
+    m.featureMs = 60;
+    // stats, arm cycles, cycles, instrs, migrations, warms, forks, speedup
+    EXPECT_EQ(perfViolations(perf_gate, m).size(), 8u);
+}
+
+TEST(Driver, PerfWithoutModeIsFatal)
+{
+    EXPECT_EXIT(invoke({"perf"}), ::testing::ExitedWithCode(1),
+                "perf requires --json=FILE");
 }
 
 } // namespace
