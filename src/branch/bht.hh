@@ -51,11 +51,11 @@ class Bht
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize the counter table and prediction stats. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); table size must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): the counter table and
+     * prediction stats; restore checks the table size.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     std::size_t indexOf(Addr pc) const;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Checkpoint byte-stream primitives.
+ * Checkpoint byte-stream primitives and the archives the component
+ * field walks run over.
  *
  * CkptWriter/CkptReader serialize architectural state into a flat,
  * versioned byte stream with a fixed little-endian wire format, so a
@@ -15,14 +16,18 @@
  * sees has already passed the file-level length + checksum validation
  * (see ckpt.hh), so a structural mismatch means a version-skew bug, not
  * a corrupt file.
+ *
+ * CkptSaver/CkptLoader wrap the two ends for the per-component
+ * `template <class Ar> void ckptFields(Ar &ar)` walks (ckpt_state.cc):
+ * each walk names every field once, with its wire width, and the same
+ * list writes the field when saving and overwrites it when loading.
  */
 
 #ifndef P5SIM_CKPT_CKPT_IO_HH
 #define P5SIM_CKPT_CKPT_IO_HH
 
 #include <cstdint>
-#include <cstring>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
@@ -40,8 +45,6 @@ class CkptWriter
         bytes_.push_back(v);
     }
 
-    void b(bool v) { u8(v ? 1 : 0); }
-
     void
     u32(std::uint32_t v)
     {
@@ -56,28 +59,7 @@ class CkptWriter
             bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
 
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void counter(const Counter &c) { u64(c.value()); }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
-
     const std::vector<std::uint8_t> &data() const { return bytes_; }
-    std::size_t size() const { return bytes_.size(); }
 
   private:
     std::vector<std::uint8_t> bytes_;
@@ -102,8 +84,6 @@ class CkptReader
         return data_[pos_++];
     }
 
-    bool b() { return u8() != 0; }
-
     std::uint32_t
     u32()
     {
@@ -124,42 +104,14 @@ class CkptReader
         return v;
     }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double
-    f64()
-    {
-        const std::uint64_t bits = u64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    void counter(Counter &c) { c.restore(u64()); }
-
-    std::string
-    str()
-    {
-        const std::uint64_t n = u64();
-        need(n);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
-    }
-
-    std::size_t remaining() const { return size_ - pos_; }
-    bool exhausted() const { return pos_ == size_; }
-
     /** Assert the whole stream was consumed (end-of-restore check). */
     void
     expectEnd() const
     {
-        if (!exhausted())
+        if (pos_ != size_)
             fatal("checkpoint blob has %zu trailing bytes "
                   "(serializer/deserializer version skew)",
-                  remaining());
+                  size_ - pos_);
     }
 
   private:
@@ -175,6 +127,110 @@ class CkptReader
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
+};
+
+/** fatal() unless a geometry read from the stream matches the core's. */
+inline void
+expectGeom(const char *what, std::uint64_t saved, std::uint64_t built)
+{
+    if (saved != built)
+        fatal("checkpoint geometry mismatch: %s is %llu in the stream "
+              "but %llu in the restoring core (checkpoint key bug?)",
+              what, static_cast<unsigned long long>(saved),
+              static_cast<unsigned long long>(built));
+}
+
+/** An integer field converted to or from its wire width. */
+template <class To, class From>
+To
+ckptInt(From v)
+{
+    static_assert(std::is_integral_v<To> && std::is_integral_v<From> &&
+                      !std::is_same_v<To, bool> &&
+                      !std::is_same_v<From, bool>,
+                  "integer fields only: bools use b(), enums enum8()");
+    return static_cast<To>(v);
+}
+
+/**
+ * Saving archive: each call appends the field at the named width
+ * (bools and enums take one byte, a Counter its value). geom() records
+ * a geometry that the loading side checks instead of restoring.
+ */
+class CkptSaver
+{
+  public:
+    static constexpr bool loading = false;
+
+    explicit CkptSaver(CkptWriter &w) : w_(w) {}
+
+    template <class T> void u8(T v) { w_.u8(ckptInt<std::uint8_t>(v)); }
+    template <class T> void u32(T v) { w_.u32(ckptInt<std::uint32_t>(v)); }
+    template <class T> void u64(T v) { w_.u64(ckptInt<std::uint64_t>(v)); }
+
+    template <class T>
+    void
+    i32(T v)
+    {
+        w_.u32(ckptInt<std::uint32_t>(ckptInt<std::int32_t>(v)));
+    }
+
+    void b(bool v) { w_.u8(v ? 1 : 0); }
+    void counter(const Counter &c) { w_.u64(c.value()); }
+
+    template <class E>
+    void
+    enum8(E e)
+    {
+        static_assert(std::is_enum_v<E>);
+        w_.u8(static_cast<std::uint8_t>(e));
+    }
+
+    void geom(const char *, std::uint64_t built) { w_.u64(built); }
+
+  private:
+    CkptWriter &w_;
+};
+
+/** Loading archive: each call overwrites the field from the stream. */
+class CkptLoader
+{
+  public:
+    static constexpr bool loading = true;
+
+    explicit CkptLoader(CkptReader &r) : r_(r) {}
+
+    template <class T> void u8(T &v) { v = ckptInt<T>(r_.u8()); }
+    template <class T> void u32(T &v) { v = ckptInt<T>(r_.u32()); }
+    template <class T> void u64(T &v) { v = ckptInt<T>(r_.u64()); }
+
+    template <class T>
+    void
+    i32(T &v)
+    {
+        v = ckptInt<T>(ckptInt<std::int32_t>(r_.u32()));
+    }
+
+    void b(bool &v) { v = r_.u8() != 0; }
+    void counter(Counter &c) { c.restore(r_.u64()); }
+
+    template <class E>
+    void
+    enum8(E &e)
+    {
+        static_assert(std::is_enum_v<E>);
+        e = static_cast<E>(r_.u8());
+    }
+
+    /** The saved geometry must equal @p built, the restoring core's. */
+    void
+    geom(const char *what, std::uint64_t built)
+    {
+        expectGeom(what, r_.u64(), built);
+    }
+
+  private:
+    CkptReader &r_;
 };
 
 } // namespace p5

@@ -117,11 +117,11 @@ class Balancer
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize the per-trigger counters (policy itself is stateless). */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): the per-trigger counters
+     * (the policy itself is stateless).
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     BalancerParams params_;

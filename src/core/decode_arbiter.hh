@@ -71,13 +71,11 @@ class DecodeArbiter
     void registerStats(StatGroup &group) const;
 
     /**
-     * Serialize the slot counters. The allocator is a pure function of
-     * the priorities, which the restoring core re-applies itself.
+     * Checkpoint field walk (ckpt_state.cc): the slot counters. The
+     * allocator is a pure function of the priorities, which the restoring
+     * core re-applies itself.
      */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     DecodeSlotAllocator allocator_;

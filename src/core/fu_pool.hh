@@ -60,11 +60,11 @@ class FuPool
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize per-unit busy-until cycles and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); unit counts must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): per-unit busy-until cycles
+     * and counters; restore checks the unit counts.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     std::vector<Cycle> busyUntil_[static_cast<int>(FuClass::NumFuClasses)];

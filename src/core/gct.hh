@@ -92,11 +92,11 @@ class Gct
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize both threads' group rings and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); capacity must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): both threads' group rings,
+     * oldest first, and the counters.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     int capacity_;

@@ -78,11 +78,11 @@ class IssueQueue
         return queues_[static_cast<int>(fc)];
     }
 
-    /** Serialize every heap array verbatim (heap order preserved). */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): every heap array verbatim
+     * (heap order preserved).
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     std::vector<ReadyRef> queues_[static_cast<int>(FuClass::NumFuClasses)];

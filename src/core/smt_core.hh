@@ -292,6 +292,13 @@ class SmtCore
     P5_SERIALIZE_ROOT P5_COLD void restoreState(class CkptReader &r);
 
   private:
+    /**
+     * The one field walk behind saveState()/restoreState()
+     * (ckpt_state.cc): the core's own fields and, in stream order, every
+     * component's ckptFields().
+     */
+    template <class Ar> void ckptFields(Ar &ar);
+
     struct Completion
     {
         Cycle cycle;

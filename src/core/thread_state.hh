@@ -165,20 +165,15 @@ class ThreadState
     Counter prioNopsIgnored;
 
     /**
-     * Serialize the complete per-thread state: the window ring's
-     * physical layout (every slot verbatim, vacant ones included, so
-     * slot handles recorded in the ready/completion queues stay valid
-     * after restore), rename map, epoch/accounting scalars, stream
-     * cursor and counters.
+     * Checkpoint field walk (ckpt_state.cc): the window ring's physical
+     * layout (every slot verbatim, vacant ones included, so slot handles
+     * recorded in the ready/completion queues stay valid after restore),
+     * rename map, epoch/accounting scalars, stream cursor and counters.
+     * @pre on restore, attach() was already called with the same program
+     * and window capacity — restore overwrites position and window
+     * contents but not the binding.
      */
-    void saveState(class CkptWriter &w) const;
-
-    /**
-     * Restore state saved by saveState(). @pre attach() was already
-     * called with the same program and window capacity — restore
-     * overwrites position and window contents but not the binding.
-     */
-    void restoreState(class CkptReader &r);
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     ThreadId tid_;

@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "ckpt/ckpt.hh"
-#include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
 #include "common/cli.hh"
 #include "common/json.hh"
@@ -548,9 +547,9 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
     const std::unique_ptr<InstrSource> prog_s =
         has_secondary ? spec_s.build() : nullptr;
 
-    // Canonical-warm protocol, inlined (this command keeps its own core
-    // for the stats dump below): attach at the canonical priority, warm
-    // (or fork a checkpoint of that warm state), then switch to the
+    // Canonical-warm protocol, driven here rather than through runFame()
+    // because this command keeps its own core for the stats dump below:
+    // attach at the canonical priority, warmOrFork(), then switch to the
     // requested pair at the measurement boundary — the same trajectory
     // runFame() drives, so the stats match the batch producers'.
     SmtCore core(config.core);
@@ -567,6 +566,7 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
     QuantumMonitor monitor(core, config.sched.quantum);
     FameRunner runner(config.fame);
     runner.setChunkHook([&monitor](SmtCore &) { monitor.poll(); });
+    std::string warm_key;
     if (config.checkpoints) {
         SimJob job;
         if (has_secondary) {
@@ -578,27 +578,9 @@ cmdRun(const Cli &cli, DriverContext &ctx, ExpConfig &config)
         }
         job.configTag = config.configTag;
         job.warmTag = config.warmTag;
-        const std::string warm_key = job.warmKey();
-        const CkptManager::Acquired acq = config.checkpoints->acquire(
-            warm_key, [&]() -> Checkpoint {
-                runner.runWarmup(core);
-                Checkpoint ck;
-                ck.warmKey = warm_key;
-                ck.fingerprint = ckptFingerprintHex(warm_key);
-                ck.warmCycles = core.cycle();
-                CkptWriter w;
-                core.saveState(w);
-                ck.state = w.data();
-                return ck;
-            });
-        if (!acq.created) {
-            CkptReader r(acq.ckpt->state);
-            core.restoreState(r);
-            r.expectEnd();
-        }
-    } else {
-        runner.runWarmup(core);
+        warm_key = job.warmKey();
     }
+    warmOrFork(core, runner, config.checkpoints, warm_key);
     core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
     const FameResult result = runner.measure(core, 0);
 

@@ -225,35 +225,16 @@ FameRunner::measure(SmtCore &core, Cycle start)
     return res;
 }
 
-FameResult
-runFame(const CoreParams &core_params, const InstrSource *prog_p,
-        const InstrSource *prog_s, int prio_p, int prio_s,
-        const FameParams &fame_params, CkptManager *ckpts,
-        const std::string &warm_key)
+void
+warmOrFork(SmtCore &core, FameRunner &runner, CkptManager *ckpts,
+           const std::string &warm_key)
 {
-    if (!prog_p)
-        fatal("runFame: primary program is required");
-
-    // Warm under the canonical priorities so the warm phase depends only
-    // on the warm key; the measured pair is applied at the boundary (see
-    // canonical_warm_priority). Fresh cores start at cycle 0, which is
-    // the anchor measure() expects whether the warm state was simulated
-    // here or restored from a checkpoint.
-    SmtCore core(core_params);
-    core.attachThread(0, prog_p, canonical_warm_priority);
-    if (prog_s)
-        core.attachThread(1, prog_s, canonical_warm_priority);
-
-    FameRunner runner(fame_params);
-
     if (!ckpts) {
         runner.runWarmup(core);
-        core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
-        return runner.measure(core, 0);
+        return;
     }
-
     if (warm_key.empty())
-        fatal("runFame: checkpointing requires a warm key");
+        fatal("warmOrFork: checkpointing requires a warm key");
 
     const CkptManager::Acquired acq =
         ckpts->acquire(warm_key, [&]() -> Checkpoint {
@@ -274,6 +255,29 @@ runFame(const CoreParams &core_params, const InstrSource *prog_p,
         core.restoreState(r);
         r.expectEnd();
     }
+}
+
+FameResult
+runFame(const CoreParams &core_params, const InstrSource *prog_p,
+        const InstrSource *prog_s, int prio_p, int prio_s,
+        const FameParams &fame_params, CkptManager *ckpts,
+        const std::string &warm_key)
+{
+    if (!prog_p)
+        fatal("runFame: primary program is required");
+
+    // Warm under the canonical priorities so the warm phase depends only
+    // on the warm key; the measured pair is applied at the boundary (see
+    // canonical_warm_priority). Fresh cores start at cycle 0, which is
+    // the anchor measure() expects whether the warm state was simulated
+    // here or restored from a checkpoint.
+    SmtCore core(core_params);
+    core.attachThread(0, prog_p, canonical_warm_priority);
+    if (prog_s)
+        core.attachThread(1, prog_s, canonical_warm_priority);
+
+    FameRunner runner(fame_params);
+    warmOrFork(core, runner, ckpts, warm_key);
     core.setPriorityPair(prio_p, prog_s ? prio_s : 0);
     return runner.measure(core, 0);
 }

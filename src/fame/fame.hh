@@ -166,6 +166,19 @@ class CkptManager;
 constexpr int canonical_warm_priority = 4;
 
 /**
+ * Bring @p core — fresh, with its threads attached at
+ * canonical_warm_priority — to the canonical warm state of @p runner's
+ * warm phase. Without @p ckpts the warm phase simply runs. With it, the
+ * warm phase runs at most once per @p warm_key (see CkptManager): the
+ * first caller warms and snapshots, every later caller forks by
+ * restoring the snapshot into its core. Both paths leave the core in a
+ * bit-identical state; the caller then applies the measured priority
+ * pair and measures.
+ */
+void warmOrFork(SmtCore &core, FameRunner &runner, CkptManager *ckpts,
+                const std::string &warm_key);
+
+/**
  * Convenience wrapper used throughout the experiments: build a fresh
  * core, attach @p prog_p (and @p prog_s unless null) at the canonical
  * warm priority, warm it, switch to the given priorities, and measure.
@@ -173,9 +186,8 @@ constexpr int canonical_warm_priority = 4;
  * Passing prog_s == nullptr measures prog_p in single-thread mode.
  *
  * With @p ckpts attached the warm phase runs at most once per
- * @p warm_key (see CkptManager): the first caller warms and snapshots,
- * every later caller forks by restoring the snapshot into its fresh
- * core. Checkpointed and cold paths produce bit-identical results.
+ * @p warm_key (see warmOrFork()). Checkpointed and cold paths produce
+ * bit-identical results.
  */
 FameResult runFame(const CoreParams &core_params,
                    const InstrSource *prog_p,

@@ -87,11 +87,11 @@ class Cache
     /** Register this cache's statistics into @p group. */
     void registerStats(StatGroup &group) const;
 
-    /** Serialize lines, recency clock, bandwidth gate and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): lines, recency clock,
+     * bandwidth gate and counters; restore checks the line count.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     struct Line

@@ -88,11 +88,11 @@ class Lmq
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize busy windows and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); capacity must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): the busy windows, in order,
+     * and the counters.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     struct Window

@@ -61,11 +61,11 @@ class Tlb
 
     void registerStats(StatGroup &group) const;
 
-    /** Serialize entries, recency clock and counters. */
-    void saveState(class CkptWriter &w) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(class CkptReader &r);
+    /**
+     * Checkpoint field walk (ckpt_state.cc): entries, recency clock and
+     * counters; restore checks the entry count.
+     */
+    template <class Ar> void ckptFields(Ar &ar);
 
   private:
     struct Entry

@@ -23,6 +23,7 @@
 #include "ckpt/ckpt.hh"
 #include "ckpt/ckpt_io.hh"
 #include "ckpt/ckpt_manager.hh"
+#include "common/blob_store.hh"
 #include "config/config.hh"
 #include "core/smt_core.hh"
 #include "exp/experiments.hh"
@@ -481,6 +482,97 @@ TEST(CkptCheckers, ReArmCleanlyOnARestoredCore)
     EXPECT_GT(core.checks().cyclesChecked() +
                   core.checks().cyclesSkipped(),
               0u);
+}
+
+
+// --- stream pin --------------------------------------------------------
+
+/**
+ * The checkpoint payload is a versioned wire format: stored images
+ * must stay restorable while ckpt_format_version is unchanged. These
+ * constants pin the exact bytes (size + FrameSeal digest) of two
+ * fixed states of cpu_int+ldint_mem: a busy mid-run snapshot at
+ * (6,2) with both in-flight windows and the LMQ occupied, and the
+ * canonical (4,4) warm image that every pair of the mix forks from.
+ * A change that moves them changes the stream, and must bump
+ * ckpt_format_version instead of editing the constants.
+ */
+constexpr Cycle pin_run_cycles = 20000;
+
+struct PinnedStream
+{
+    std::size_t bytes;
+    std::uint64_t checksum;
+};
+
+constexpr PinnedStream pin_mid_run{2592041, 0xa4748210a3f94906ULL};
+constexpr PinnedStream pin_warm{2591221, 0xab978b94fe722473ULL};
+
+std::vector<std::uint8_t>
+snapshot(const SmtCore &core)
+{
+    CkptWriter w;
+    core.saveState(w);
+    return w.data();
+}
+
+std::uint64_t
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    return FrameSeal::of(std::string_view(
+                             reinterpret_cast<const char *>(bytes.data()),
+                             bytes.size()))
+        .checksum;
+}
+
+/** Save, restore into a fresh identically-built core, save again. */
+void
+expectRoundTrip(const std::vector<std::uint8_t> &bytes,
+                const SyntheticProgram &pp, const SyntheticProgram &ps,
+                int prio_p, int prio_s)
+{
+    SmtCore fresh(CoreParams{});
+    fresh.attachThread(0, &pp, prio_p);
+    fresh.attachThread(1, &ps, prio_s);
+    CkptReader r(bytes);
+    fresh.restoreState(r);
+    r.expectEnd();
+    EXPECT_EQ(snapshot(fresh), bytes);
+}
+
+TEST(CkptStreamPin, BusyMidRunStateIsByteStable)
+{
+    const SyntheticProgram pp = makeUbench(UbenchId::CpuInt, 0.5);
+    const SyntheticProgram ps = makeUbench(UbenchId::LdintMem, 0.5);
+    SmtCore core(CoreParams{});
+    core.attachThread(0, &pp, 6);
+    core.attachThread(1, &ps, 2);
+    core.run(pin_run_cycles);
+    // The snapshot must cover live pipeline state, not an idle core.
+    ASSERT_GT(core.thread(0).window.size(), 0u);
+    ASSERT_GT(core.thread(1).window.size(), 0u);
+    ASSERT_GT(core.lmq().busyAt(core.cycle()), 0);
+
+    const std::vector<std::uint8_t> bytes = snapshot(core);
+    EXPECT_EQ(bytes.size(), pin_mid_run.bytes);
+    EXPECT_EQ(digest(bytes), pin_mid_run.checksum);
+    expectRoundTrip(bytes, pp, ps, 6, 2);
+}
+
+TEST(CkptStreamPin, CanonicalWarmImageIsByteStable)
+{
+    const SyntheticProgram pp = makeUbench(UbenchId::CpuInt, 0.5);
+    const SyntheticProgram ps = makeUbench(UbenchId::LdintMem, 0.5);
+    SmtCore core(CoreParams{});
+    core.attachThread(0, &pp, canonical_warm_priority);
+    core.attachThread(1, &ps, canonical_warm_priority);
+    FameRunner(fastFame()).runWarmup(core);
+
+    const std::vector<std::uint8_t> bytes = snapshot(core);
+    EXPECT_EQ(bytes.size(), pin_warm.bytes);
+    EXPECT_EQ(digest(bytes), pin_warm.checksum);
+    expectRoundTrip(bytes, pp, ps, canonical_warm_priority,
+                    canonical_warm_priority);
 }
 
 } // namespace

@@ -25,6 +25,8 @@ FIXTURES = HERE / "lint_fixtures"
 CASES = [
     ("bad_hot_alloc.cc", "hot_path_no_alloc"),
     ("good_hot_alloc.cc", None),
+    ("bad_hot_alloc_unbraced.cc", "hot_path_no_alloc"),
+    ("good_hot_alloc_unbraced.cc", None),
     ("bad_probe_impure.cc", "probe_purity"),
     ("good_probe_pure.cc", None),
     ("bad_unordered_iter.cc", "determinism"),
@@ -35,6 +37,8 @@ CASES = [
     ("good_bound_field.cc", None),
     ("bad_serialize_unordered.cc", "determinism"),
     ("good_serialize_ordered.cc", None),
+    ("bad_serialize_visitor.cc", "determinism"),
+    ("good_serialize_visitor.cc", None),
     ("bad_trace_cursor_unordered.cc", "determinism"),
     ("good_trace_cursor_ordered.cc", None),
     ("bad_cold_on_hot.cc", "hot_path_no_alloc"),

@@ -702,7 +702,7 @@ def strip_ref(type_str: str) -> str:
 
 def deref_once(type_str: str) -> str:
     """Strip one level of pointer / smart pointer for '->' access."""
-    m = SMART_PTR_RE.search(type_str.strip())
+    m = SMART_PTR_RE.search(strip_ref(type_str))
     if m:
         return m.group(1).strip()
     s = type_str.strip()
@@ -984,6 +984,13 @@ def scan_body(model: Model, fn: Func):
                 depth = 0
                 while k >= 0:
                     txt = body[k].text
+                    if depth == 0 and txt == ")" and \
+                            body[k + 1].kind == "id":
+                        # `if (c) x.f()` / `for (...) x->f()`: the
+                        # parenthesis closes a statement head, not a
+                        # link of the chain.
+                        k += 1
+                        break
                     if txt in (")", "]"):
                         depth += 1
                     elif txt in ("(", "["):
@@ -998,6 +1005,8 @@ def scan_body(model: Model, fn: Func):
                     k -= 1
                 k = max(k, 0)
                 recv_type = scope.resolve_chain(body, k, end=i - 1)
+                if prev == "->":
+                    recv_type = deref_once(recv_type)
                 recv_known = base_name(recv_type) in model.classes
             argc, first_arg = count_args(body, i + 1)
             first_arg_type = ""
