@@ -1,5 +1,6 @@
 #include "ckpt/ckpt_manager.hh"
 
+#include <exception>
 #include <utility>
 
 #include "common/log.hh"
@@ -9,57 +10,41 @@ namespace p5 {
 CkptManager::Acquired
 CkptManager::acquire(const std::string &warm_key, const WarmFn &warm)
 {
-    std::promise<Shared> promise;
-    std::shared_future<Shared> future;
-    bool claimed = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(warm_key);
-        if (it == cache_.end()) {
-            future = promise.get_future().share();
-            cache_.emplace(warm_key, future);
-            claimed = true;
-        } else {
-            future = it->second;
-        }
-    }
-
-    if (!claimed) {
+    auto claim = claims_.claim(warm_key);
+    Acquired out;
+    if (!claim.claimed) {
         // A sibling holds the claim; wait for its image and fork.
-        Acquired out;
-        out.ckpt = future.get();
+        out.ckpt = claim.future.get();
         memForks_.fetch_add(1);
         return out;
     }
 
     // First claimant. The persistent area, when attached, stands in for
-    // a warm-up that some earlier process already paid for.
-    if (store_) {
-        auto loaded = std::make_shared<Checkpoint>();
-        if (store_->load(warm_key, *loaded)) {
-            Acquired out;
-            out.ckpt = std::move(loaded);
-            promise.set_value(out.ckpt);
-            storeForks_.fetch_add(1);
-            return out;
+    // a warm-up that some earlier process already paid for. Otherwise
+    // warm for real; warm() runs on the caller's own core, so the
+    // creator measures on the very state it serialized.
+    try {
+        auto ckpt = std::make_shared<Checkpoint>();
+        if (store_ && store_->load(warm_key, *ckpt)) {
+            out.ckpt = std::move(ckpt);
+        } else {
+            *ckpt = warm();
+            if (ckpt->warmKey != warm_key)
+                fatal("checkpoint created under key '%s' but claimed as "
+                      "'%s'", ckpt->warmKey.c_str(), warm_key.c_str());
+            if (store_)
+                store_->put(*ckpt);
+            out.ckpt = std::move(ckpt);
+            out.created = true;
         }
+    } catch (...) {
+        // Don't poison the key; hand the failure to waiting siblings.
+        claims_.abandon(warm_key);
+        claim.promise->set_exception(std::current_exception());
+        throw;
     }
-
-    // Warm for real. warm() runs on the caller's own core, which is the
-    // point: the creator measures on the very state it serialized.
-    // fatal() aborts the process, so an exception path out of warm()
-    // does not need to unblock siblings.
-    auto created = std::make_shared<Checkpoint>(warm());
-    if (created->warmKey != warm_key)
-        fatal("checkpoint created under key '%s' but claimed as '%s'",
-              created->warmKey.c_str(), warm_key.c_str());
-    if (store_)
-        store_->put(*created);
-    Acquired out;
-    out.ckpt = std::move(created);
-    promise.set_value(out.ckpt);
-    warms_.fetch_add(1);
-    out.created = true;
+    claim.promise->set_value(out.ckpt);
+    (out.created ? warms_ : storeForks_).fetch_add(1);
     return out;
 }
 

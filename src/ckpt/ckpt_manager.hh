@@ -13,11 +13,14 @@
  * core (an *in-memory fork*). With 36 priority pairs per pair-mix this
  * turns 36 warm-ups into one.
  *
- * Claim semantics mirror the SimRunner's ResultCache: a
- * shared_future per key, first-claimant-computes. Blocking a pool
- * thread on the future cannot deadlock because an entry only exists
- * while (or after) its creator is actively warming on another pool
- * thread.
+ * Claims go through a ClaimMap, the same claim-once memo that backs the
+ * SimRunner's ResultCache: a shared_future per key,
+ * first-claimant-computes. If the store load or the warm-up throws, the
+ * claimant abandons the key and hands the exception to the waiting
+ * siblings, so the next acquire of that key warms afresh. Blocking a
+ * pool thread on the future cannot deadlock because an entry only
+ * exists while (or after) its creator is actively warming on another
+ * pool thread.
  */
 
 #ifndef P5SIM_CKPT_CKPT_MANAGER_HH
@@ -26,13 +29,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "ckpt/ckpt.hh"
+#include "common/claim_map.hh"
 
 namespace p5 {
 
@@ -70,7 +71,9 @@ class CkptManager
      * per area. The first caller claims the key: it loads from the
      * attached store when possible, otherwise runs @p warm inline and
      * publishes (write-through to the store). Later callers block until
-     * the claimant finishes and receive the shared image.
+     * the claimant finishes and receive the shared image. An exception
+     * from the store load or @p warm reaches the claimant and every
+     * waiting sibling, and leaves the key unclaimed.
      *
      * When Acquired.created is true the caller's own core already holds
      * the warm state (warm ran on it) and must NOT restore; otherwise
@@ -91,10 +94,7 @@ class CkptManager
     std::uint64_t forks() const { return memForks() + storeForks(); }
 
   private:
-    using Shared = std::shared_ptr<const Checkpoint>;
-
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<Shared>> cache_;
+    ClaimMap<std::shared_ptr<const Checkpoint>> claims_;
     CkptStore *store_ = nullptr;
     std::atomic<std::uint64_t> warms_{0};
     std::atomic<std::uint64_t> memForks_{0};

@@ -38,21 +38,15 @@
  * Rule names are the snake_case forms of the p5lint rules:
  * hot_path_no_alloc, probe_purity, determinism, config_completeness.
  *
- * Under Clang the macros expand to [[clang::annotate]] so an AST
- * frontend sees them; under other compilers they expand to nothing.
- * p5lint's built-in lexing frontend recognizes the macro names
- * textually, so the contracts are enforced regardless of which
- * compiler produced the compile database.
+ * The macros expand to nothing on every compiler: p5lint recognizes
+ * the macro names textually, so the contracts are enforced regardless
+ * of which compiler produced the compile database.
  */
 
 #ifndef P5SIM_COMMON_ANNOTATE_HH
 #define P5SIM_COMMON_ANNOTATE_HH
 
-#if defined(__clang__)
-#define P5_ANNOTATE(text) [[clang::annotate(text)]]
-#else
 #define P5_ANNOTATE(text)
-#endif
 
 /** Root of the per-cycle busy path: no reachable allocation. */
 #define P5_HOT_PATH P5_ANNOTATE("p5:hot_path")

@@ -1,56 +1,56 @@
 /**
  * @file
- * A small dependency graph executed over a ThreadPool.
+ * A batch of independent tasks executed over a ThreadPool.
  *
- * Nodes are void() callables with explicit predecessor edges; run()
- * schedules every node whose dependencies have completed, keeping the
- * pool saturated with all currently-ready nodes. Independent nodes (the
- * common case for simulation batches) therefore run fully in parallel.
+ * Tasks are void() callables with no ordering between them: run()
+ * submits them all, so the pool stays saturated until the batch drains.
  */
 
 #ifndef P5SIM_COMMON_JOB_GRAPH_HH
 #define P5SIM_COMMON_JOB_GRAPH_HH
 
-#include <cstddef>
+#include <exception>
 #include <functional>
+#include <future>
 #include <vector>
 
 #include "common/thread_pool.hh"
 
 namespace p5 {
 
-/** Static DAG of tasks; build with add(), execute with run(). */
+/** Task batch; build with add(), execute with run(). */
 class JobGraph
 {
   public:
-    using NodeId = std::size_t;
+    void add(std::function<void()> fn) { tasks_.push_back(std::move(fn)); }
 
     /**
-     * Add a node running @p fn after every node in @p deps.
-     * Dependencies must already have been added (ids are dense,
-     * in insertion order), which also makes cycles unrepresentable.
+     * Execute every task on @p pool and block until all have finished.
+     * A task that throws does not stop the others; the exception of
+     * the first failed task (in add order) is rethrown here.
      */
-    NodeId add(std::function<void()> fn, std::vector<NodeId> deps = {});
-
-    std::size_t size() const { return nodes_.size(); }
-
-    /**
-     * Execute the whole graph on @p pool and block until done.
-     *
-     * If a node throws, no new nodes are scheduled, in-flight nodes are
-     * drained, and the first exception is rethrown here. Nodes whose
-     * dependency threw never run.
-     */
-    void run(ThreadPool &pool);
+    void
+    run(ThreadPool &pool)
+    {
+        std::vector<std::future<void>> done;
+        done.reserve(tasks_.size());
+        for (auto &task : tasks_)
+            done.push_back(pool.submit([&task] { task(); }));
+        std::exception_ptr error;
+        for (auto &f : done) {
+            try {
+                f.get();
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
+    }
 
   private:
-    struct Node
-    {
-        std::function<void()> fn;
-        std::vector<NodeId> deps;
-    };
-
-    std::vector<Node> nodes_;
+    std::vector<std::function<void()>> tasks_;
 };
 
 } // namespace p5

@@ -16,44 +16,6 @@ ResultCache::process()
     return cache;
 }
 
-ResultCache::Claim
-ResultCache::claim(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        hits_.fetch_add(1);
-        return Claim{false, it->second, nullptr};
-    }
-    misses_.fetch_add(1);
-    auto promise = std::make_shared<std::promise<SimResult>>();
-    std::shared_future<SimResult> future =
-        promise->get_future().share();
-    map_.emplace(key, future);
-    return Claim{true, future, std::move(promise)};
-}
-
-void
-ResultCache::abandon(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.erase(key);
-}
-
-std::size_t
-ResultCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-}
-
-void
-ResultCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-}
-
 SimRunner::SimRunner(unsigned jobs, ResultCache *cache)
     : jobs_(jobs ? jobs : ThreadPool::defaultWorkers()),
       cache_(cache ? cache : &ResultCache::process())

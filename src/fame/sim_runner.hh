@@ -7,8 +7,11 @@
  * most once per process no matter how many producers ask for it — the
  * (4,4) baselines shared by Table 3 and Figs. 2-4 are the headline case.
  * Duplicates *within* one batch are also coalesced: the first occurrence
- * runs, the rest wait on its future. Cache hit/miss counters are exposed
- * for tests and JSON reports.
+ * runs, the rest wait on its future. The cache is a ClaimMap (the same
+ * claim-once protocol the CkptManager uses for warm-ups); a job that
+ * throws abandons its key, so a later batch runs it afresh. Cache
+ * hit/miss counters are exposed for tests and JSON reports. Each batch
+ * runs as one JobGraph over a pool sized to the batch.
  *
  * Correctness under concurrency: a job executes with zero shared mutable
  * state (it builds its own programs and its own core; the only process
@@ -20,14 +23,9 @@
 #ifndef P5SIM_FAME_SIM_RUNNER_HH
 #define P5SIM_FAME_SIM_RUNNER_HH
 
-#include <atomic>
-#include <cstdint>
-#include <future>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "common/annotate.hh"
+#include "common/claim_map.hh"
 #include "fame/sim_job.hh"
 
 namespace p5 {
@@ -36,50 +34,15 @@ class CkptManager;
 class ResultStore;
 struct StoreProvenance;
 
-/** Process-lifetime map from job key to completed (or running) result. */
-class ResultCache
+/**
+ * Process-lifetime map from job key to completed (or running) result:
+ * a ClaimMap whose claimant executes the job.
+ */
+class ResultCache : public ClaimMap<SimResult>
 {
   public:
-    ResultCache() = default;
-    ResultCache(const ResultCache &) = delete;
-    ResultCache &operator=(const ResultCache &) = delete;
-
     /** The per-process cache used by the experiment producers. */
     static ResultCache &process();
-
-    /**
-     * Claim @p key: if absent, the caller must execute the job and
-     * fulfill the returned promise slot (claimed == true); if present,
-     * wait on the returned future (claimed == false, a hit).
-     */
-    struct Claim
-    {
-        bool claimed = false;
-        std::shared_future<SimResult> future;
-        std::shared_ptr<std::promise<SimResult>> promise; ///< when claimed
-    };
-    Claim claim(const std::string &key);
-
-    /** Drop a claimed entry whose execution failed (un-poisons the map). */
-    void abandon(const std::string &key);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::size_t size() const;
-
-    /** Forget all results (not the counters). */
-    void clear();
-
-  private:
-    mutable std::mutex mutex_;
-    // Lookup-only by construction: every access is find/emplace/erase/
-    // size/clear under mutex_ — nothing ever iterates the map, so its
-    // hash order cannot leak into reports (audited for p5lint's
-    // determinism rule; keep it that way or switch to std::map).
-    P5_ALLOW(determinism)
-    std::unordered_map<std::string, std::shared_future<SimResult>> map_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
 };
 
 /** Runs SimJob batches over a worker pool, through a ResultCache. */

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -413,6 +414,35 @@ TEST(CkptStoreDeath, ForeignConfigSchemaIsRefused)
     }
     EXPECT_EXIT(CkptStore store(dir), ::testing::ExitedWithCode(1),
                 "schema");
+}
+
+/**
+ * A warm-up that throws must not poison its key: the claimant sees the
+ * exception, and the next acquire of the key warms again.
+ */
+TEST(CkptManager, ThrowingWarmIsReclaimed)
+{
+    CkptManager mgr;
+    int calls = 0;
+    const CkptManager::WarmFn warm = [&calls]() -> Checkpoint {
+        if (calls++ == 0)
+            throw std::runtime_error("warm-up failed");
+        Checkpoint ck;
+        ck.warmKey = "warm|key";
+        return ck;
+    };
+    EXPECT_THROW(mgr.acquire("warm|key", warm), std::runtime_error);
+    EXPECT_EQ(mgr.warms(), 0u);
+
+    const CkptManager::Acquired again = mgr.acquire("warm|key", warm);
+    EXPECT_TRUE(again.created);
+    EXPECT_EQ(again.ckpt->warmKey, "warm|key");
+    EXPECT_EQ(mgr.warms(), 1u);
+    EXPECT_EQ(calls, 2);
+
+    // The published image now serves siblings as usual.
+    EXPECT_FALSE(mgr.acquire("warm|key", warm).created);
+    EXPECT_EQ(mgr.memForks(), 1u);
 }
 
 TEST(CkptManagerDeath, CheckpointCreatedUnderTheWrongKeyIsFatal)

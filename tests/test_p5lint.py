@@ -27,6 +27,8 @@ CASES = [
     ("good_hot_alloc.cc", None),
     ("bad_hot_alloc_unbraced.cc", "hot_path_no_alloc"),
     ("good_hot_alloc_unbraced.cc", None),
+    ("bad_hot_alloc_ptr_container.cc", "hot_path_no_alloc"),
+    ("good_hot_alloc_ptr_container.cc", None),
     ("bad_probe_impure.cc", "probe_purity"),
     ("good_probe_pure.cc", None),
     ("bad_unordered_iter.cc", "determinism"),

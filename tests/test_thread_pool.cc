@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the common concurrency layer: ThreadPool (result delivery,
- * exception propagation, saturation), JobGraph (dependency ordering,
- * failure containment) and the thread safety of the log globals.
+ * exception propagation, saturation), JobGraph (every task runs, the
+ * first failure is rethrown after the batch drains), ClaimMap (one
+ * claimant per key, shared value and failure, abandon un-poisons) and
+ * the thread safety of the log globals.
  */
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/claim_map.hh"
 #include "common/job_graph.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
@@ -79,35 +81,20 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks)
     EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(JobGraph, RespectsDependencyOrder)
-{
-    ThreadPool pool(4);
-    JobGraph graph;
-    std::atomic<int> stamp{0};
-    std::array<int, 4> when{};
-
-    // d depends on b and c, which both depend on a.
-    auto a = graph.add([&] { when[0] = stamp.fetch_add(1); });
-    auto b = graph.add([&] { when[1] = stamp.fetch_add(1); }, {a});
-    auto c = graph.add([&] { when[2] = stamp.fetch_add(1); }, {a});
-    graph.add([&] { when[3] = stamp.fetch_add(1); }, {b, c});
-    graph.run(pool);
-
-    EXPECT_LT(when[0], when[1]);
-    EXPECT_LT(when[0], when[2]);
-    EXPECT_GT(when[3], when[1]);
-    EXPECT_GT(when[3], when[2]);
-}
-
-TEST(JobGraph, FailureSkipsDependentsAndRethrows)
+TEST(JobGraph, FailureRethrowsAfterDrain)
 {
     ThreadPool pool(2);
     JobGraph graph;
-    std::atomic<bool> dependent_ran{false};
-    auto bad = graph.add([] { throw std::runtime_error("node failed"); });
-    graph.add([&] { dependent_ran = true; }, {bad});
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 20; ++i)
+        graph.add([&ran, i] {
+            if (i == 3)
+                throw std::runtime_error("task failed");
+            ran.fetch_add(1);
+        });
     EXPECT_THROW(graph.run(pool), std::runtime_error);
-    EXPECT_FALSE(dependent_ran.load());
+    // The failure stops nothing: every other task still ran.
+    EXPECT_EQ(ran.load(), 19);
 }
 
 TEST(JobGraph, ParallelRootsAllRun)
@@ -119,6 +106,81 @@ TEST(JobGraph, ParallelRootsAllRun)
         graph.add([&ran] { ran.fetch_add(1); });
     graph.run(pool);
     EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(ClaimMap, ConcurrentClaimantsShareOneValue)
+{
+    ClaimMap<int> map;
+    constexpr int threads = 8;
+    std::atomic<int> claimants{0};
+    std::vector<int> seen(threads, -1);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t)
+        workers.emplace_back([&, t] {
+            ClaimMap<int>::Claim c = map.claim("key");
+            if (c.claimed) {
+                claimants.fetch_add(1);
+                c.promise->set_value(42);
+            }
+            seen[static_cast<std::size_t>(t)] = c.future.get();
+        });
+    for (auto &w : workers)
+        w.join();
+
+    EXPECT_EQ(claimants.load(), 1);
+    for (int v : seen)
+        EXPECT_EQ(v, 42);
+    EXPECT_EQ(map.misses(), 1u);
+    EXPECT_EQ(map.hits(), static_cast<std::uint64_t>(threads - 1));
+    EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(ClaimMap, AbandonUnpoisonsTheKey)
+{
+    ClaimMap<int> map;
+    ClaimMap<int>::Claim first = map.claim("key");
+    ASSERT_TRUE(first.claimed);
+    first.promise->set_exception(
+        std::make_exception_ptr(std::runtime_error("failed")));
+    map.abandon("key");
+    EXPECT_EQ(map.size(), 0u);
+
+    // The next claim is a fresh miss, not the stored failure.
+    ClaimMap<int>::Claim second = map.claim("key");
+    EXPECT_TRUE(second.claimed);
+    second.promise->set_value(7);
+    EXPECT_EQ(second.future.get(), 7);
+    EXPECT_EQ(map.misses(), 2u);
+    EXPECT_EQ(map.hits(), 0u);
+}
+
+TEST(ClaimMap, ExceptionReachesEveryWaiter)
+{
+    ClaimMap<int> map;
+    ClaimMap<int>::Claim owner = map.claim("key");
+    ASSERT_TRUE(owner.claimed);
+
+    constexpr int waiters = 4;
+    std::atomic<int> failed{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < waiters; ++t)
+        workers.emplace_back([&] {
+            ClaimMap<int>::Claim c = map.claim("key");
+            EXPECT_FALSE(c.claimed);
+            try {
+                c.future.get();
+            } catch (const std::runtime_error &) {
+                failed.fetch_add(1);
+            }
+        });
+    // Wait until every waiter holds the entry before failing it.
+    while (map.hits() < static_cast<std::uint64_t>(waiters))
+        std::this_thread::yield();
+    owner.promise->set_exception(
+        std::make_exception_ptr(std::runtime_error("claimant failed")));
+    for (auto &w : workers)
+        w.join();
+    EXPECT_EQ(failed.load(), waiters);
 }
 
 TEST(Log, WarnCountAndLevelAreThreadSafe)
